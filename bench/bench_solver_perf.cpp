@@ -1,7 +1,8 @@
 // E12 — solver performance microbenchmarks (google-benchmark).
 //
 // Times the substrate the reproduction is built on: the bounded-variable
-// simplex on dense random LPs and transportation LPs, branch-and-bound on
+// simplex on dense random LPs and transportation LPs, the sparse LU
+// refactorization of enterprise1's root basis, branch-and-bound on
 // knapsacks and assignment MILPs, the full planner on enterprise1-scale
 // instances, and the Lagrangian bound at Federal scale.
 #include <benchmark/benchmark.h>
@@ -11,9 +12,12 @@
 #include "common/random.h"
 #include "cost/cost_model.h"
 #include "datagen/generators.h"
+#include "lp/basis.h"
 #include "lp/lp_engine.h"
+#include "lp/presolve.h"
 #include "milp/branch_and_bound.h"
 #include "planner/etransform_planner.h"
+#include "planner/formulation.h"
 #include "planner/lagrangian.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -76,22 +80,37 @@ void BM_SimplexRandomLpTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexRandomLpTraced)->Arg(200)->Arg(800);
 
-// The pre-revised-simplex baseline: dense explicit inverse + full Dantzig
-// pricing, matching the legacy tableau implementation. Kept so the
-// sparse-vs-dense speedup stays measured release over release.
-void BM_SimplexRandomLpDense(benchmark::State& state) {
-  const auto model = random_lp(7, static_cast<int>(state.range(0)),
-                               static_cast<int>(state.range(0)) / 2);
-  lp::SimplexOptions options;
-  options.use_dense_fallback = true;
-  options.pricing = lp::PricingRule::kDantzig;
-  const lp::LpEngine solver(options);
-  for (auto _ : state) {
-    SolveContext ctx;
-    benchmark::DoNotOptimize(solver.solve(model, ctx));
+// The LU kernel alone: refactorize enterprise1's optimal root basis (the
+// planner's presolved formulation) on one reused engine, the way a simplex
+// solve refactorizes between pivots.
+void BM_BasisFactorize(benchmark::State& state) {
+  const auto instance = make_enterprise1();
+  const CostModel model(instance);
+  const Formulation formulation = build_formulation(model, FormulationOptions{});
+  SolveContext presolve_ctx;
+  const lp::PresolveResult presolved = lp::presolve(formulation.model, presolve_ctx);
+  const lp::PreparedLp prep(presolved.reduced);
+  SolveContext root_ctx;
+  const lp::LpSolution root = lp::LpEngine().solve(presolved.reduced, root_ctx);
+  if (root.status != lp::SolveStatus::kOptimal || root.basis == nullptr) {
+    state.SkipWithError("enterprise1 root LP did not solve");
+    return;
   }
+  const std::vector<int>& basis = root.basis->basic_columns;
+  const auto engine = lp::make_basis_factorization(prep.num_rows(), 1e-9);
+  for (auto _ : state) {
+    const bool ok = engine->factorize(prep.columns, basis);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError("enterprise1 root basis reported singular");
+      break;
+    }
+  }
+  state.counters["m"] = prep.num_rows();
+  state.counters["factor_entries"] =
+      static_cast<double>(engine->counters().factor_entries);
 }
-BENCHMARK(BM_SimplexRandomLpDense)->Arg(50)->Arg(200)->Arg(800);
+BENCHMARK(BM_BasisFactorize)->Unit(benchmark::kMicrosecond);
 
 void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   Rng rng(11);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "lp/column_count_index.h"
+
 namespace etransform::lp {
 
 namespace {
@@ -26,9 +28,13 @@ constexpr double kDenseWindowDensity = 0.35;
 /// bookkeeping; the sparse loop finishes tiny blocks just fine.
 constexpr int kDenseWindowMinDim = 32;
 
-/// Re-estimate the active-submatrix density only every few steps; the count
-/// scan is O(active columns).
+/// Test the active-submatrix density only every few steps. The active-entry
+/// total is kept as a running sum, so the test itself is O(1); the stride
+/// only fixes which steps may switch to the dense window.
 constexpr int kDensityCheckStride = 8;
+
+/// Markowitz prices the pivot entries of this many sparsest active columns.
+constexpr int kCandidates = 8;
 
 /// One (index, value) entry of a sparse factor column/row.
 struct Entry {
@@ -42,7 +48,11 @@ struct Entry {
 class SparseLuBasis final : public BasisFactorization {
  public:
   SparseLuBasis(int rows, double pivot_tol)
-      : m_(rows), pivot_tol_(pivot_tol), work_vals_(static_cast<std::size_t>(rows), 0.0),
+      : m_(rows),
+        pivot_tol_(pivot_tol),
+        cols_(static_cast<std::size_t>(rows)),
+        row_pat_(static_cast<std::size_t>(rows)),
+        work_vals_(static_cast<std::size_t>(rows), 0.0),
         work_mark_(static_cast<std::size_t>(rows), -1) {}
 
   bool factorize(const std::vector<SparseColumn>& columns,
@@ -56,8 +66,14 @@ class SparseLuBasis final : public BasisFactorization {
       std::fill(work_mark_.begin(), work_mark_.end(), -1);
       stamp_ = 0;
     }
-    l_cols_.assign(static_cast<std::size_t>(m_), {});
-    u_rows_.assign(static_cast<std::size_t>(m_), {});
+    // Every working buffer below is an engine member that is cleared, not
+    // freed, so a refactorization reuses the previous one's capacity.
+    l_start_.assign(static_cast<std::size_t>(m_) + 1, 0);
+    u_start_.assign(static_cast<std::size_t>(m_) + 1, 0);
+    l_index_.clear();
+    l_value_.clear();
+    u_index_.clear();
+    u_value_.clear();
     u_diag_.assign(static_cast<std::size_t>(m_), 0.0);
     row_of_step_.assign(static_cast<std::size_t>(m_), -1);
     pos_of_step_.assign(static_cast<std::size_t>(m_), -1);
@@ -68,25 +84,26 @@ class SparseLuBasis final : public BasisFactorization {
     }
 
     // Active submatrix: exact column-major values plus a lazy row pattern.
-    std::vector<std::vector<Entry>> cols(static_cast<std::size_t>(m_));
-    std::vector<std::vector<int>> row_pat(static_cast<std::size_t>(m_));
-    std::vector<int> row_count(static_cast<std::size_t>(m_), 0);
-    std::vector<bool> row_active(static_cast<std::size_t>(m_), true);
-    std::vector<bool> col_active(static_cast<std::size_t>(m_), true);
+    for (auto& p : row_pat_) p.clear();
+    row_count_.assign(static_cast<std::size_t>(m_), 0);
+    row_active_.assign(static_cast<std::size_t>(m_), 1);
+    col_active_.assign(static_cast<std::size_t>(m_), 1);
+    by_count_.reset(m_);
+    active_entries_ = 0;
     for (int k = 0; k < m_; ++k) {
       const SparseColumn& col = columns[static_cast<std::size_t>(basis[static_cast<std::size_t>(k)])];
-      auto& dest = cols[static_cast<std::size_t>(k)];
+      auto& dest = cols_[static_cast<std::size_t>(k)];
+      dest.clear();
       dest.reserve(col.rows.size());
       for (std::size_t e = 0; e < col.rows.size(); ++e) {
         if (col.coefs[e] == 0.0) continue;
         dest.push_back(Entry{col.rows[e], col.coefs[e]});
-        row_pat[static_cast<std::size_t>(col.rows[e])].push_back(k);
-        ++row_count[static_cast<std::size_t>(col.rows[e])];
+        row_pat_[static_cast<std::size_t>(col.rows[e])].push_back(k);
+        ++row_count_[static_cast<std::size_t>(col.rows[e])];
       }
+      attach(k);
     }
 
-    std::vector<Entry> mults;     // pivot-column multipliers of one step
-    std::vector<Entry> pivot_row; // pivot-row entries of one step
     // The stamp is monotonic across factorize() calls: work_mark_ persists,
     // so restarting it would collide with marks left by a previous
     // factorization and silently drop fill-in entries.
@@ -95,49 +112,24 @@ class SparseLuBasis final : public BasisFactorization {
     for (int step = 0; step < m_; ++step) {
       // --- Dense-window switch once the active block has densified. -------
       if (step % kDensityCheckStride == 0 && m_ - step >= kDenseWindowMinDim) {
-        long long active_entries = 0;
-        for (int j = 0; j < m_; ++j) {
-          if (col_active[static_cast<std::size_t>(j)]) {
-            active_entries +=
-                static_cast<long long>(cols[static_cast<std::size_t>(j)].size());
-          }
-        }
         const double active = m_ - step;
-        if (static_cast<double>(active_entries) >=
+        if (static_cast<double>(active_entries_) >=
             kDenseWindowDensity * active * active) {
-          if (!finish_dense_window(step, cols, col_active, row_active)) {
-            return false;
-          }
+          if (!finish_dense_window(step)) return false;
           break;
         }
       }
 
       // --- Markowitz pivot selection over the sparsest few columns. -------
-      // Scan active columns for the smallest counts (O(m) per step), then
-      // price only those candidates' entries.
-      constexpr int kCandidates = 8;
       int cand[kCandidates];
-      int cand_n = 0;
-      for (int j = 0; j < m_; ++j) {
-        if (!col_active[static_cast<std::size_t>(j)]) continue;
-        const int count = static_cast<int>(cols[static_cast<std::size_t>(j)].size());
-        int at = cand_n < kCandidates ? cand_n : kCandidates;
-        // Insertion sort by column count; keep the kCandidates sparsest.
-        if (cand_n < kCandidates) ++cand_n;
-        while (at > 0 &&
-               static_cast<int>(cols[static_cast<std::size_t>(cand[at - 1])].size()) > count) {
-          if (at < kCandidates) cand[at] = cand[at - 1];
-          --at;
-        }
-        if (at < kCandidates) cand[at] = j;
-      }
+      const int cand_n = select_candidates(m_ - step, cand);
       int best_row = -1;
       int best_col = -1;
       double best_val = 0.0;
       long long best_cost = std::numeric_limits<long long>::max();
       for (int c = 0; c < cand_n; ++c) {
         const int j = cand[c];
-        const auto& col = cols[static_cast<std::size_t>(j)];
+        const auto& col = cols_[static_cast<std::size_t>(j)];
         double col_max = 0.0;
         for (const Entry& e : col) col_max = std::max(col_max, std::abs(e.value));
         if (col_max < pivot_tol_) continue;
@@ -147,7 +139,7 @@ class SparseLuBasis final : public BasisFactorization {
           const double mag = std::abs(e.value);
           if (mag < eligible) continue;
           const long long cost =
-              cc * (static_cast<long long>(row_count[static_cast<std::size_t>(e.index)]) - 1);
+              cc * (static_cast<long long>(row_count_[static_cast<std::size_t>(e.index)]) - 1);
           if (cost < best_cost ||
               (cost == best_cost && mag > std::abs(best_val))) {
             best_cost = cost;
@@ -161,8 +153,8 @@ class SparseLuBasis final : public BasisFactorization {
         // The sparsest candidates were all below tolerance; fall back to a
         // full scan before declaring the basis singular.
         for (int j = 0; j < m_ && best_row < 0; ++j) {
-          if (!col_active[static_cast<std::size_t>(j)]) continue;
-          for (const Entry& e : cols[static_cast<std::size_t>(j)]) {
+          if (!col_active_[static_cast<std::size_t>(j)]) continue;
+          for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
             if (std::abs(e.value) < pivot_tol_) continue;
             if (best_row < 0 || std::abs(e.value) > std::abs(best_val)) {
               best_row = e.index;
@@ -178,111 +170,100 @@ class SparseLuBasis final : public BasisFactorization {
       pos_of_step_[static_cast<std::size_t>(step)] = best_col;
       u_diag_[static_cast<std::size_t>(step)] = best_val;
 
-      // --- Extract multipliers from the pivot column. ---------------------
-      mults.clear();
-      for (const Entry& e : cols[static_cast<std::size_t>(best_col)]) {
+      // --- Extract multipliers from the pivot column (L column `step`). ---
+      // Factor indices stay in original coordinates (rows for L, basis
+      // positions for U) until the elimination order is complete.
+      const std::size_t l_begin = l_index_.size();
+      l_start_[static_cast<std::size_t>(step)] = l_begin;
+      detach(best_col);
+      for (const Entry& e : cols_[static_cast<std::size_t>(best_col)]) {
         if (e.index == best_row) continue;
-        mults.push_back(Entry{e.index, e.value / best_val});
-        --row_count[static_cast<std::size_t>(e.index)];
+        l_index_.push_back(e.index);
+        l_value_.push_back(e.value / best_val);
+        --row_count_[static_cast<std::size_t>(e.index)];
       }
-      cols[static_cast<std::size_t>(best_col)].clear();
-      cols[static_cast<std::size_t>(best_col)].shrink_to_fit();
-      col_active[static_cast<std::size_t>(best_col)] = false;
-      row_active[static_cast<std::size_t>(best_row)] = false;
+      const std::size_t l_end = l_index_.size();
+      cols_[static_cast<std::size_t>(best_col)].clear();
+      col_active_[static_cast<std::size_t>(best_col)] = 0;
+      row_active_[static_cast<std::size_t>(best_row)] = 0;
 
-      // --- Extract the pivot row (becomes U row `step`). ------------------
-      pivot_row.clear();
-      for (const int j : row_pat[static_cast<std::size_t>(best_row)]) {
-        if (j == best_col || !col_active[static_cast<std::size_t>(j)]) continue;
-        auto& col = cols[static_cast<std::size_t>(j)];
+      // --- Extract the pivot row (U row `step`). --------------------------
+      const std::size_t u_begin = u_index_.size();
+      u_start_[static_cast<std::size_t>(step)] = u_begin;
+      for (const int j : row_pat_[static_cast<std::size_t>(best_row)]) {
+        if (j == best_col || !col_active_[static_cast<std::size_t>(j)]) continue;
+        auto& col = cols_[static_cast<std::size_t>(j)];
         for (std::size_t e = 0; e < col.size(); ++e) {
           if (col[e].index != best_row) continue;
-          pivot_row.push_back(Entry{j, col[e].value});
+          u_index_.push_back(j);
+          u_value_.push_back(col[e].value);
+          detach(j);  // re-attached under its new count after the update
           col[e] = col.back();
           col.pop_back();
           break;
         }
       }
-      row_pat[static_cast<std::size_t>(best_row)].clear();
+      row_pat_[static_cast<std::size_t>(best_row)].clear();
 
       // --- Schur update: col_j -= l * u_kj for every multiplier. ----------
-      for (const Entry& u : pivot_row) {
-        auto& col = cols[static_cast<std::size_t>(u.index)];
-        ++stamp;
-        for (const Entry& e : col) {
-          work_mark_[static_cast<std::size_t>(e.index)] = stamp;
-          work_vals_[static_cast<std::size_t>(e.index)] = e.value;
-        }
-        for (const Entry& l : mults) {
-          const std::size_t i = static_cast<std::size_t>(l.index);
-          if (work_mark_[i] == stamp) {
-            work_vals_[i] -= l.value * u.value;
-          } else {
-            work_mark_[i] = stamp;
-            work_vals_[i] = -l.value * u.value;
-            col.push_back(Entry{l.index, 0.0});  // fill-in; value set below
-            row_pat_push(row_pat, l.index, u.index);
-            ++row_count[i];
+      // A pivot column without multipliers (a singleton, the common case
+      // for slack columns) changes no values: the pivot-row columns only
+      // lost their pivot-row entry above.
+      for (std::size_t p = u_begin; p < u_index_.size(); ++p) {
+        const int uj = u_index_[p];
+        if (l_begin < l_end) {
+          const double uv = u_value_[p];
+          auto& col = cols_[static_cast<std::size_t>(uj)];
+          ++stamp;
+          for (const Entry& e : col) {
+            work_mark_[static_cast<std::size_t>(e.index)] = stamp;
+            work_vals_[static_cast<std::size_t>(e.index)] = e.value;
           }
-        }
-        std::size_t keep = 0;
-        for (std::size_t e = 0; e < col.size(); ++e) {
-          const std::size_t i = static_cast<std::size_t>(col[e].index);
-          const double v = work_vals_[i];
-          if (v == 0.0) {
-            --row_count[i];
-            continue;  // exact cancellation
+          for (std::size_t q = l_begin; q < l_end; ++q) {
+            const std::size_t i = static_cast<std::size_t>(l_index_[q]);
+            if (work_mark_[i] == stamp) {
+              work_vals_[i] -= l_value_[q] * uv;
+            } else {
+              work_mark_[i] = stamp;
+              work_vals_[i] = -l_value_[q] * uv;
+              col.push_back(Entry{l_index_[q], 0.0});  // fill-in; value set below
+              row_pat_[i].push_back(uj);
+              ++row_count_[i];
+            }
           }
-          col[keep++] = Entry{col[e].index, v};
+          std::size_t keep = 0;
+          for (std::size_t e = 0; e < col.size(); ++e) {
+            const std::size_t i = static_cast<std::size_t>(col[e].index);
+            const double v = work_vals_[i];
+            if (v == 0.0) {
+              --row_count_[i];
+              continue;  // exact cancellation
+            }
+            col[keep++] = Entry{col[e].index, v};
+          }
+          col.resize(keep);
         }
-        col.resize(keep);
+        attach(uj);
       }
-
-      l_cols_[static_cast<std::size_t>(step)] = mults;  // row indices for now
-      u_rows_[static_cast<std::size_t>(step)] = pivot_row;  // positions for now
     }
 
-    // Map factor indices into elimination-step coordinates while flattening
-    // the factors into contiguous index/value arrays: the triangular solves
-    // run every iteration and are far kinder to the cache this way than
-    // chasing a vector-of-vectors.
+    // Map factor indices into elimination-step coordinates. The factors are
+    // already flat contiguous index/value arrays: the triangular solves run
+    // every iteration and are far kinder to the cache this way than chasing
+    // a vector-of-vectors.
+    l_start_[static_cast<std::size_t>(m_)] = l_index_.size();
+    u_start_[static_cast<std::size_t>(m_)] = u_index_.size();
     step_of_row_.assign(static_cast<std::size_t>(m_), -1);
     step_of_pos_.assign(static_cast<std::size_t>(m_), -1);
     for (int k = 0; k < m_; ++k) {
       step_of_row_[static_cast<std::size_t>(row_of_step_[static_cast<std::size_t>(k)])] = k;
       step_of_pos_[static_cast<std::size_t>(pos_of_step_[static_cast<std::size_t>(k)])] = k;
     }
-    std::size_t l_total = 0;
-    std::size_t u_total = 0;
-    for (int k = 0; k < m_; ++k) {
-      l_total += l_cols_[static_cast<std::size_t>(k)].size();
-      u_total += u_rows_[static_cast<std::size_t>(k)].size();
-    }
-    l_start_.resize(static_cast<std::size_t>(m_) + 1);
-    u_start_.resize(static_cast<std::size_t>(m_) + 1);
-    l_index_.resize(l_total);
-    l_value_.resize(l_total);
-    u_index_.resize(u_total);
-    u_value_.resize(u_total);
-    std::size_t lp = 0;
-    std::size_t up = 0;
-    for (int k = 0; k < m_; ++k) {
-      l_start_[static_cast<std::size_t>(k)] = lp;
-      u_start_[static_cast<std::size_t>(k)] = up;
-      for (const Entry& e : l_cols_[static_cast<std::size_t>(k)]) {
-        l_index_[lp] = step_of_row_[static_cast<std::size_t>(e.index)];
-        l_value_[lp++] = e.value;
-      }
-      for (const Entry& e : u_rows_[static_cast<std::size_t>(k)]) {
-        u_index_[up] = step_of_pos_[static_cast<std::size_t>(e.index)];
-        u_value_[up++] = e.value;
-      }
-    }
-    l_start_[static_cast<std::size_t>(m_)] = lp;
-    u_start_[static_cast<std::size_t>(m_)] = up;
-    const long long entries =
-        static_cast<long long>(m_) + static_cast<long long>(lp) +
-        static_cast<long long>(up);
+    for (int& i : l_index_) i = step_of_row_[static_cast<std::size_t>(i)];
+    for (int& j : u_index_) j = step_of_pos_[static_cast<std::size_t>(j)];
+    const long long entries = static_cast<long long>(m_) +
+                              static_cast<long long>(l_index_.size()) +
+                              static_cast<long long>(u_index_.size());
     ++counters_.refactorizations;
     counters_.factor_entries = entries;
     lu_entries_ = entries;
@@ -295,9 +276,7 @@ class SparseLuBasis final : public BasisFactorization {
   /// for steps `step..m_-1` in the same pre-remap convention as the sparse
   /// loop: L entries carry original row indices, U entries carry basis
   /// positions.
-  bool finish_dense_window(int step, std::vector<std::vector<Entry>>& cols,
-                           const std::vector<bool>& col_active,
-                           const std::vector<bool>& row_active) {
+  bool finish_dense_window(int step) {
     const int a = m_ - step;
     const auto az = static_cast<std::size_t>(a);
     std::vector<int> orig_row(az);   // local row -> original row (permuted)
@@ -305,7 +284,7 @@ class SparseLuBasis final : public BasisFactorization {
     std::vector<int> local_row(static_cast<std::size_t>(m_), -1);
     int r = 0;
     for (int i = 0; i < m_; ++i) {
-      if (!row_active[static_cast<std::size_t>(i)]) continue;
+      if (!row_active_[static_cast<std::size_t>(i)]) continue;
       local_row[static_cast<std::size_t>(i)] = r;
       orig_row[static_cast<std::size_t>(r++)] = i;
     }
@@ -313,10 +292,10 @@ class SparseLuBasis final : public BasisFactorization {
     dense_kernel_.assign(az * az, 0.0);
     int c = 0;
     for (int j = 0; j < m_; ++j) {
-      if (!col_active[static_cast<std::size_t>(j)]) continue;
+      if (!col_active_[static_cast<std::size_t>(j)]) continue;
       orig_col[static_cast<std::size_t>(c)] = j;
       double* dest = dense_kernel_.data() + static_cast<std::size_t>(c) * az;
-      for (const Entry& e : cols[static_cast<std::size_t>(j)]) {
+      for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
         dest[local_row[static_cast<std::size_t>(e.index)]] = e.value;
       }
       ++c;
@@ -360,18 +339,20 @@ class SparseLuBasis final : public BasisFactorization {
       row_of_step_[s] = orig_row[static_cast<std::size_t>(k)];
       pos_of_step_[s] = orig_col[static_cast<std::size_t>(k)];
       u_diag_[s] = ck[k];
-      auto& lcol = l_cols_[s];
+      l_start_[s] = l_index_.size();
       for (int i = k + 1; i < a; ++i) {
         if (ck[i] != 0.0) {
-          lcol.push_back(Entry{orig_row[static_cast<std::size_t>(i)], ck[i]});
+          l_index_.push_back(orig_row[static_cast<std::size_t>(i)]);
+          l_value_.push_back(ck[i]);
         }
       }
-      auto& urow = u_rows_[s];
+      u_start_[s] = u_index_.size();
       for (int j = k + 1; j < a; ++j) {
         const double v = dense_kernel_[static_cast<std::size_t>(j) * az +
                                        static_cast<std::size_t>(k)];
         if (v != 0.0) {
-          urow.push_back(Entry{orig_col[static_cast<std::size_t>(j)], v});
+          u_index_.push_back(orig_col[static_cast<std::size_t>(j)]);
+          u_value_.push_back(v);
         }
       }
     }
@@ -493,18 +474,56 @@ class SparseLuBasis final : public BasisFactorization {
   }
 
  private:
-  static void row_pat_push(std::vector<std::vector<int>>& row_pat, int row,
-                           int col) {
-    row_pat[static_cast<std::size_t>(row)].push_back(col);
+  /// Adds active column j to the running entry total and the count index.
+  void attach(int j) {
+    const int count = static_cast<int>(cols_[static_cast<std::size_t>(j)].size());
+    active_entries_ += count;
+    by_count_.insert(j, count);
+  }
+
+  /// Inverse of attach(); call before column j's entries change.
+  void detach(int j) {
+    const int count = static_cast<int>(cols_[static_cast<std::size_t>(j)].size());
+    active_entries_ -= count;
+    by_count_.erase(j, count);
+  }
+
+  /// Writes the (at most kCandidates) active columns with the smallest
+  /// (count, column index) pairs to `cand`, in that order, and returns how
+  /// many there are. `active` is the number of active columns.
+  int select_candidates(int active, int* cand) const {
+    const int n = by_count_.smallest(kCandidates, active, cand);
+    if (n >= 0) return n;
+    // Dense active block (threshold count not indexed): scan every active
+    // column, insertion-sorting by count; ties keep the lower index first.
+    int cand_n = 0;
+    for (int j = 0; j < m_; ++j) {
+      if (!col_active_[static_cast<std::size_t>(j)]) continue;
+      const int count = static_cast<int>(cols_[static_cast<std::size_t>(j)].size());
+      int at = cand_n < kCandidates ? cand_n : kCandidates;
+      if (cand_n < kCandidates) ++cand_n;
+      while (at > 0 &&
+             static_cast<int>(cols_[static_cast<std::size_t>(cand[at - 1])].size()) > count) {
+        if (at < kCandidates) cand[at] = cand[at - 1];
+        --at;
+      }
+      if (at < kCandidates) cand[at] = j;
+    }
+    return cand_n;
   }
 
   int m_;
   double pivot_tol_;
-  // Factorization scratch: per-step factor entries in original coordinates,
-  // flattened below after the step->coordinate remap.
-  std::vector<std::vector<Entry>> l_cols_;  // per step: (orig row, multiplier)
-  std::vector<std::vector<Entry>> u_rows_;  // per step: (basis pos, value)
-  // Flattened factors in elimination-step coordinates (the solve-side form).
+  // Active submatrix of the elimination in progress.
+  std::vector<std::vector<Entry>> cols_;  // by basis position, exact values
+  std::vector<std::vector<int>> row_pat_;  // by row, lazy (may hold stale cols)
+  std::vector<int> row_count_;             // exact active entries per row
+  std::vector<char> row_active_, col_active_;
+  long long active_entries_ = 0;           // sum of active column counts
+  detail::ColumnCountIndex by_count_;
+  // Flat factors: L column / U row k occupies [l_start_[k], l_start_[k+1]) /
+  // [u_start_[k], u_start_[k+1]), indexed by elimination step once
+  // factorize() completes (by original row / basis position until then).
   std::vector<std::size_t> l_start_, u_start_;  // m_+1 offsets each
   std::vector<int> l_index_, u_index_;
   std::vector<double> l_value_, u_value_;
@@ -527,132 +546,6 @@ class SparseLuBasis final : public BasisFactorization {
   mutable std::vector<double> scratch_;
 };
 
-// ---------------------------------------------------------------------------
-// Dense explicit inverse (legacy path).
-
-class DenseInverseBasis final : public BasisFactorization {
- public:
-  DenseInverseBasis(int rows, double pivot_tol)
-      : m_(rows), pivot_tol_(pivot_tol) {}
-
-  bool factorize(const std::vector<SparseColumn>& columns,
-                 const std::vector<int>& basis) override {
-    const std::size_t mm = static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
-    std::vector<double> b_mat(mm, 0.0);
-    for (int k = 0; k < m_; ++k) {
-      const SparseColumn& col =
-          columns[static_cast<std::size_t>(basis[static_cast<std::size_t>(k)])];
-      for (std::size_t e = 0; e < col.rows.size(); ++e) {
-        b_mat[static_cast<std::size_t>(col.rows[e]) * static_cast<std::size_t>(m_) +
-              static_cast<std::size_t>(k)] = col.coefs[e];
-      }
-    }
-    std::vector<double> inv(mm, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      inv[static_cast<std::size_t>(i) * static_cast<std::size_t>(m_) +
-          static_cast<std::size_t>(i)] = 1.0;
-    }
-    auto at = [this](std::vector<double>& mat, int r, int c) -> double& {
-      return mat[static_cast<std::size_t>(r) * static_cast<std::size_t>(m_) +
-                 static_cast<std::size_t>(c)];
-    };
-    // Gauss-Jordan with partial pivoting; inv rows mirror the row ops, so B
-    // columns land on rows of inv in basis-position order (ftran/btran below
-    // rely on row k of inv being e_k^T B^-1).
-    for (int col = 0; col < m_; ++col) {
-      int piv = col;
-      double best = std::abs(at(b_mat, col, col));
-      for (int r = col + 1; r < m_; ++r) {
-        const double candidate = std::abs(at(b_mat, r, col));
-        if (candidate > best) {
-          best = candidate;
-          piv = r;
-        }
-      }
-      if (best < pivot_tol_) return false;
-      if (piv != col) {
-        for (int c = 0; c < m_; ++c) {
-          std::swap(at(b_mat, piv, c), at(b_mat, col, c));
-          std::swap(at(inv, piv, c), at(inv, col, c));
-        }
-      }
-      const double scale = 1.0 / at(b_mat, col, col);
-      for (int c = 0; c < m_; ++c) {
-        at(b_mat, col, c) *= scale;
-        at(inv, col, c) *= scale;
-      }
-      for (int r = 0; r < m_; ++r) {
-        if (r == col) continue;
-        const double factor = at(b_mat, r, col);
-        if (factor == 0.0) continue;
-        for (int c = 0; c < m_; ++c) {
-          at(b_mat, r, c) -= factor * at(b_mat, col, c);
-          at(inv, r, c) -= factor * at(inv, col, c);
-        }
-      }
-    }
-    binv_ = std::move(inv);
-    ++counters_.refactorizations;
-    counters_.factor_entries = static_cast<long long>(mm);
-    return true;
-  }
-
-  void ftran(std::vector<double>& x) const override {
-    scratch_.assign(static_cast<std::size_t>(m_), 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double v = x[static_cast<std::size_t>(i)];
-      if (v == 0.0) continue;
-      const double* col = &binv_[static_cast<std::size_t>(i)];
-      for (int k = 0; k < m_; ++k) {
-        scratch_[static_cast<std::size_t>(k)] +=
-            binv_[static_cast<std::size_t>(k) * static_cast<std::size_t>(m_) +
-                  static_cast<std::size_t>(i)] * v;
-      }
-      (void)col;
-    }
-    x = scratch_;
-  }
-
-  void btran(std::vector<double>& x) const override {
-    scratch_.assign(static_cast<std::size_t>(m_), 0.0);
-    for (int k = 0; k < m_; ++k) {
-      const double ck = x[static_cast<std::size_t>(k)];
-      if (ck == 0.0) continue;
-      const double* row =
-          &binv_[static_cast<std::size_t>(k) * static_cast<std::size_t>(m_)];
-      for (int i = 0; i < m_; ++i) {
-        scratch_[static_cast<std::size_t>(i)] += ck * row[i];
-      }
-    }
-    x = scratch_;
-  }
-
-  bool update(const std::vector<double>& w, int r) override {
-    const double pivot = w[static_cast<std::size_t>(r)];
-    if (!(std::abs(pivot) > pivot_tol_)) return false;
-    double* pivot_row = &binv_[static_cast<std::size_t>(r) * static_cast<std::size_t>(m_)];
-    const double inv_pivot = 1.0 / pivot;
-    for (int c = 0; c < m_; ++c) pivot_row[c] *= inv_pivot;
-    for (int k = 0; k < m_; ++k) {
-      if (k == r) continue;
-      const double factor = w[static_cast<std::size_t>(k)];
-      if (factor == 0.0) continue;
-      double* row = &binv_[static_cast<std::size_t>(k) * static_cast<std::size_t>(m_)];
-      for (int c = 0; c < m_; ++c) row[c] -= factor * pivot_row[c];
-    }
-    ++counters_.etas;
-    return true;
-  }
-
-  bool should_refactorize() const override { return false; }
-
- private:
-  int m_;
-  double pivot_tol_;
-  std::vector<double> binv_;
-  mutable std::vector<double> scratch_;
-};
-
 }  // namespace
 
 bool TableauRowExtractor::load(int rows,
@@ -661,10 +554,7 @@ bool TableauRowExtractor::load(int rows,
                                double pivot_tol) {
   rows_ = rows;
   rho_.assign(static_cast<std::size_t>(rows), 0.0);
-  // The sparse LU path is always adequate here: extraction is read-only, so
-  // the dense fallback's only advantage (cheap explicit-inverse updates)
-  // never applies.
-  engine_ = make_basis_factorization(rows, /*dense=*/false, pivot_tol);
+  engine_ = make_basis_factorization(rows, pivot_tol);
   return engine_->factorize(columns, basic_columns);
 }
 
@@ -685,9 +575,7 @@ double TableauRowExtractor::row_coefficient(const std::vector<double>& rho,
 }
 
 std::unique_ptr<BasisFactorization> make_basis_factorization(int rows,
-                                                             bool dense,
                                                              double pivot_tol) {
-  if (dense) return std::make_unique<DenseInverseBasis>(rows, pivot_tol);
   return std::make_unique<SparseLuBasis>(rows, pivot_tol);
 }
 

@@ -1,4 +1,4 @@
-// Basis factorization engines for the revised simplex.
+// Basis factorization engine for the revised simplex.
 //
 // The simplex never materializes B^-1. It talks to a BasisFactorization
 // through three kernels:
@@ -7,14 +7,12 @@
 //   * update: append a product-form eta after a pivot, deferring the next
 //     refactorization until the eta file grows or drifts.
 //
-// Two engines implement the interface:
-//   * SparseLuBasis — the production path: a sparse LU of B with
-//     Markowitz-style pivot ordering (minimum fill estimate under a
-//     threshold-pivoting stability test), solved as permuted triangular
-//     systems, updated between refactorizations by product-form etas.
-//   * DenseInverseBasis — the legacy explicit-inverse path (Gauss-Jordan
-//     refactorization, O(m^2) kernels), kept behind
-//     SimplexOptions::use_dense_fallback for differential testing.
+// SparseLuBasis (basis.cpp) implements the interface: a sparse LU of B with
+// Markowitz-style pivot ordering (minimum fill estimate under a
+// threshold-pivoting stability test, priced over the few sparsest active
+// columns, which a per-count index yields without scanning every column),
+// solved as permuted triangular systems, updated between refactorizations by
+// product-form etas.
 #pragma once
 
 #include <memory>
@@ -74,11 +72,10 @@ class BasisFactorization {
   BasisCounters counters_;
 };
 
-/// Builds the engine selected by the options: the sparse LU path, or the
-/// legacy dense explicit inverse when `dense` is set. `pivot_tol` is the
+/// Builds the sparse LU engine for `rows`-row bases. `pivot_tol` is the
 /// singularity floor for factorization pivots.
 [[nodiscard]] std::unique_ptr<BasisFactorization> make_basis_factorization(
-    int rows, bool dense, double pivot_tol);
+    int rows, double pivot_tol);
 
 /// BTRAN-based simplex tableau row extraction over a basis snapshot.
 ///

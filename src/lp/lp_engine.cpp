@@ -325,7 +325,7 @@ std::optional<BasisSnapshot> remap_basis(const NamedBasis& old_basis,
   // preserves the bulk of the old basis instead of discarding it because a
   // handful of rows became dependent.
   constexpr double kPivotTol = 1e-7;
-  auto lu = make_basis_factorization(rows, /*dense=*/false, kPivotTol);
+  auto lu = make_basis_factorization(rows, kPivotTol);
   if (rows > 0 && !lu->factorize(prep.columns, snap.basic_columns)) {
     std::vector<int> basic(static_cast<std::size_t>(rows));
     for (int r = 0; r < rows; ++r) {

@@ -170,8 +170,7 @@ bool RevisedSimplex::set_bounds(const std::vector<double>& lo,
 }
 
 SolveStatus RevisedSimplex::run(const BasisSnapshot* warm, bool try_dual) {
-  engine_ = make_basis_factorization(m_, options_.use_dense_fallback,
-                                     options_.pivot_tol);
+  engine_ = make_basis_factorization(m_, options_.pivot_tol);
   // Small lists win empirically: Devex quality saturates around a few
   // dozen candidates while re-pricing cost keeps growing with the list.
   list_size_ = options_.candidate_list_size > 0

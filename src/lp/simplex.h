@@ -19,8 +19,6 @@
 //    updated by product-form eta files — see lp/basis.h. FTRAN/BTRAN kernels
 //    replace the old dense B^-1 sweeps; the basis is refactorized every
 //    `refactor_interval` pivots or when the eta file outgrows the factors.
-//    The legacy dense explicit inverse survives behind
-//    SimplexOptions::use_dense_fallback for differential testing.
 //  * Pricing is candidate-list partial pricing with Devex-style reference
 //    weights (PricingRule::kDevexPartial, the default): a rotating cursor
 //    refills a small candidate list, and optimality is only declared after a
@@ -109,9 +107,6 @@ struct SimplexOptions {
   int refactor_interval = 128;
   /// Consecutive degenerate pivots before switching to Bland's rule.
   int degeneracy_threshold = 64;
-  /// Use the legacy dense explicit-inverse basis engine instead of the
-  /// sparse LU. Kept for differential testing and benchmarking.
-  bool use_dense_fallback = false;
   /// Pricing strategy; see PricingRule.
   PricingRule pricing = PricingRule::kDevexPartial;
   /// Partial-pricing candidate list size; 0 picks clamp(n/32, 8, 32).

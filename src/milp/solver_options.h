@@ -12,9 +12,6 @@
 //     .branching  variable selection (pseudocost / most-fractional)
 //     .lp         the simplex engine (lp::SimplexOptions, unchanged)
 //     .presolve   presolve toggles (consumed by the planner pipeline)
-//
-// The legacy flat MilpOptions is gone — branch_and_bound.h keeps only a
-// poisoned declaration so stale code fails to compile with a pointer here.
 #pragma once
 
 #include "lp/simplex.h"

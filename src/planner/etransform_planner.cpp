@@ -58,23 +58,6 @@ PlannerReport EtransformPlanner::plan(const PlanInput& input,
   return report;
 }
 
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-PlannerReport EtransformPlanner::plan(const CostModel& model,
-                                      SolveContext& ctx,
-                                      const lp::NamedBasis* root_warm)
-    const {
-  PlanInput input;
-  input.model = &model;
-  input.root_warm = root_warm;
-  return plan(input, ctx);
-}
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-
 PlannerReport EtransformPlanner::plan_dispatch(
     const CostModel& model, SolveContext& ctx,
     const lp::NamedBasis* root_warm) const {
@@ -256,10 +239,16 @@ PlannerReport EtransformPlanner::plan_exact(
     improve_plan(model, report.plan, polish);
   }
   if (!stopped && !report.proven_optimal) {
-    const PlannerReport heuristic = plan_heuristic(model, ctx);
-    if (heuristic.plan.cost.total() < report.plan.cost.total()) {
-      report.plan = heuristic.plan;
-      report.used_exact_solver = false;
+    try {
+      const PlannerReport heuristic = plan_heuristic(model, ctx);
+      if (heuristic.plan.cost.total() < report.plan.cost.total()) {
+        report.plan = heuristic.plan;
+        report.used_exact_solver = false;
+      }
+    } catch (const InfeasibleError& e) {
+      // No heuristic seed packs this estate (tight pins): the B&B
+      // incumbent is feasible and stands.
+      ET_LOG(kInfo) << "planner: heuristic race skipped: " << e.what();
     }
   }
   return report;
@@ -517,7 +506,14 @@ PlannerReport EtransformPlanner::plan_heuristic(const CostModel& model,
     GreedyOptions seed_options;
     seed_options.volume_aware = volume_aware;
     seed_options.max_groups_per_site = group_limit;
-    Plan candidate = plan_greedy(model, options_.enable_dr, seed_options);
+    Plan candidate;
+    try {
+      candidate = plan_greedy(model, options_.enable_dr, seed_options);
+    } catch (const InfeasibleError&) {
+      // Greedy packing can dead-end on tightly pinned estates while other
+      // seeds (or the exact solve) still fit.
+      continue;
+    }
     if (options_.enable_dr && !dedicated) {
       // Greedy DR over-provisions (dedicated counts); normalize to the
       // single-failure sharing law before polishing.
@@ -550,6 +546,9 @@ PlannerReport EtransformPlanner::plan_heuristic(const CostModel& model,
       if (!seed.has_value()) continue;
       race(std::move(*seed));
     }
+  }
+  if (!have_plan) {
+    throw InfeasibleError("planner: no heuristic seed produced a feasible plan");
   }
   // Full polish (swaps included) on the winning basin.
   if (!ctx.should_stop()) {

@@ -355,22 +355,5 @@ TEST(MultiPeriod, HorizonFileRoundTrips) {
   EXPECT_EQ(horizon_fingerprint(parsed), horizon_fingerprint(horizon));
 }
 
-// ---- the deprecated single-snapshot shim -----------------------------------
-
-TEST(MultiPeriod, DeprecatedPlanOverloadStillMatchesPlanInput) {
-  Rng rng(7500);
-  const auto instance = make_random_instance(rng, 6, 3, 2);
-  const CostModel model(instance);
-  const EtransformPlanner planner;
-  SolveContext ctx;
-  const PlannerReport via_input = planner.plan(PlanInput(model), ctx);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const PlannerReport via_shim = planner.plan(model, ctx);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(via_shim.plan.primary, via_input.plan.primary);
-  EXPECT_NEAR(via_shim.plan.cost.total(), via_input.plan.cost.total(), 1e-9);
-}
-
 }  // namespace
 }  // namespace etransform

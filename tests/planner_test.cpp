@@ -241,6 +241,57 @@ TEST(Planner, HonorsPinsForbidsAndSeparations) {
   EXPECT_NE(report.plan.primary[2], report.plan.primary[3]);
 }
 
+/// An estate whose greedy seeds cannot pack: ag0 (20 servers, free) is
+/// cheapest at dc0, so greedy puts it there first and ag1 (20 servers,
+/// pinned to dc0) no longer fits. The only feasible shapes put ag0 at dc1
+/// next to ag2 (pinned there); dc2 is too small for either big group. The
+/// small groups are left to compete for dc0's and dc2's spare room, and no
+/// other heuristic seed packs the estate either.
+ConsolidationInstance greedy_dead_end_estate() {
+  Rng rng(12);
+  auto instance = make_random_instance(rng, 10, 3, 2);
+  for (int j = 0; j < 3; ++j) {
+    auto& site = instance.sites[static_cast<std::size_t>(j)];
+    site.space_cost_per_server = StepSchedule::flat(j == 0 ? 10.0 : j == 1 ? 500.0 : 100.0);
+    site.power_cost_per_kwh = StepSchedule::flat(0.1);
+    site.labor_cost_per_admin = StepSchedule::flat(7000.0);
+    site.wan_cost_per_megabit = StepSchedule::flat(1e-5);
+    instance.latency_ms[static_cast<std::size_t>(j)] = instance.latency_ms[0];
+  }
+  instance.sites[0].capacity_servers = 30;
+  instance.sites[1].capacity_servers = 110;
+  instance.sites[2].capacity_servers = 19;
+  instance.groups[0].servers = 20;
+  instance.groups[1].servers = 20;
+  instance.groups[1].pinned_site = 0;
+  instance.groups[2].servers = 10;
+  instance.groups[2].pinned_site = 1;
+  return instance;
+}
+
+// An unproven exact solve races the heuristic. When the greedy seeds cannot
+// pack the estate, the race must not throw away the branch-and-bound plan.
+TEST(Planner, UnprovenExactKeepsIncumbentWhenGreedyCannotPack) {
+  const auto instance = greedy_dead_end_estate();
+  const CostModel model(instance);
+  ASSERT_THROW(plan_greedy(model, false, GreedyOptions{}), InfeasibleError);
+  PlannerOptions heuristic;
+  heuristic.engine = PlannerOptions::Engine::kHeuristic;
+  EXPECT_THROW(run_planner(instance, heuristic), InfeasibleError);
+
+  PlannerOptions options;
+  options.engine = PlannerOptions::Engine::kExact;
+  options.milp.search.max_nodes = 20;
+  PlannerReport report;
+  ASSERT_NO_THROW(report = run_planner(instance, options));
+  EXPECT_TRUE(report.used_exact_solver);
+  EXPECT_FALSE(report.proven_optimal);  // so the heuristic race ran
+  EXPECT_TRUE(check_plan(instance, report.plan).empty());
+  EXPECT_EQ(report.plan.primary[0], 1);
+  EXPECT_EQ(report.plan.primary[1], 0);
+  EXPECT_EQ(report.plan.primary[2], 1);
+}
+
 TEST(Planner, ThrowsOnInfeasibleInstance) {
   Rng rng(99);
   auto instance = make_random_instance(rng, 6, 3, 2);

@@ -1,7 +1,7 @@
-// Tests for the sparse revised simplex core: sparse-vs-dense differential
-// agreement, cycling/degeneracy under partial pricing, warm-start
-// regressions, numerical-error reporting, and the basis-engine contract
-// across repeated refactorizations.
+// Tests for the sparse revised simplex core: primal-vs-dual differential
+// agreement with an LU residual oracle, cycling/degeneracy under partial
+// pricing, warm-start regressions, numerical-error reporting, and the
+// basis-engine contract across repeated refactorizations.
 #include <cmath>
 #include <memory>
 #include <string>
@@ -13,6 +13,7 @@
 #include "lp/basis.h"
 #include "lp/lp_engine.h"
 #include "milp/branch_and_bound.h"
+#include "lu_residuals.h"
 
 namespace etransform::lp {
 namespace {
@@ -43,18 +44,19 @@ LpSolution solve_sparse(const Model& model) {
   return LpEngine().solve(model, ctx);
 }
 
-LpSolution solve_dense(const Model& model) {
+LpSolution solve_in_mode(const Model& model, SolveMode mode) {
   SimplexOptions options;
-  options.use_dense_fallback = true;
-  options.pricing = PricingRule::kDantzig;
+  options.mode = mode;
   SolveContext ctx;
   return LpEngine(options).solve(model, ctx);
 }
 
-// The two engines take different pivot paths but must agree on the optimum.
-// Densities above the dense-window threshold exercise the hybrid
-// Markowitz-then-dense factorization; sparse ones stay pure Markowitz.
-TEST(RevisedSimplex, SparseAndDenseAgreeOnRandomLps) {
+// The primal and dual simplex take different pivot paths but must agree on
+// the optimum, and the LU of each optimal basis must solve B x = b and
+// B^T y = c to 1e-9. Densities above the dense-window threshold exercise the
+// hybrid Markowitz-then-dense factorization; sparse ones stay pure
+// Markowitz.
+TEST(RevisedSimplex, PrimalAndDualAgreeOnRandomLps) {
   const struct {
     std::uint64_t seed;
     int vars;
@@ -66,24 +68,28 @@ TEST(RevisedSimplex, SparseAndDenseAgreeOnRandomLps) {
   };
   for (const auto& c : cases) {
     const Model model = random_lp(c.seed, c.vars, c.rows, c.density);
-    const LpSolution sparse = solve_sparse(model);
-    const LpSolution dense = solve_dense(model);
+    const PreparedLp prep(model);
     SCOPED_TRACE("seed=" + std::to_string(c.seed));
-    ASSERT_EQ(sparse.status, SolveStatus::kOptimal);
-    ASSERT_EQ(dense.status, SolveStatus::kOptimal);
-    EXPECT_NEAR(sparse.objective, dense.objective,
-                1e-6 * (1.0 + std::abs(dense.objective)));
-    // Duals of an optimal basis certify the objective; both engines must
-    // produce complementary prices even if the optimal basis differs.
-    ASSERT_EQ(sparse.duals.size(), dense.duals.size());
-    double sparse_dual_obj = 0.0;
-    double dense_dual_obj = 0.0;
-    for (std::size_t r = 0; r < sparse.duals.size(); ++r) {
-      sparse_dual_obj += sparse.duals[r];
-      dense_dual_obj += dense.duals[r];
+    const LpSolution primal = solve_in_mode(model, SolveMode::kPrimal);
+    const LpSolution dual = solve_in_mode(model, SolveMode::kDual);
+    ASSERT_EQ(primal.status, SolveStatus::kOptimal);
+    ASSERT_EQ(dual.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(primal.objective, dual.objective,
+                1e-6 * (1.0 + std::abs(primal.objective)));
+    for (const LpSolution* s : {&primal, &dual}) {
+      double dual_sum = 0.0;
+      for (const double y : s->duals) dual_sum += y;
+      EXPECT_TRUE(std::isfinite(dual_sum));
+      ASSERT_NE(s->basis, nullptr);
+      const auto& basis = s->basis->basic_columns;
+      const auto engine = make_basis_factorization(prep.num_rows(), 1e-9);
+      ASSERT_TRUE(engine->factorize(prep.columns, basis));
+      Rng rng(99);
+      const auto [ftran_res, btran_res] =
+          lu_residuals(*engine, prep.columns, basis, rng);
+      EXPECT_LE(ftran_res, 1e-9);
+      EXPECT_LE(btran_res, 1e-9);
     }
-    EXPECT_TRUE(std::isfinite(sparse_dual_obj));
-    EXPECT_TRUE(std::isfinite(dense_dual_obj));
   }
 }
 
@@ -113,9 +119,12 @@ TEST(RevisedSimplex, BealeCyclingLpTerminates) {
   EXPECT_NEAR(sparse.objective, -0.05, 1e-9);
   EXPECT_LT(sparse.iterations, 1000);
 
-  const LpSolution dense = solve_dense(model);
-  ASSERT_EQ(dense.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(dense.objective, -0.05, 1e-9);
+  SimplexOptions dantzig;
+  dantzig.pricing = PricingRule::kDantzig;
+  SolveContext ctx;
+  const LpSolution full = LpEngine(dantzig).solve(model, ctx);
+  ASSERT_EQ(full.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(full.objective, -0.05, 1e-9);
 }
 
 // Warm-starting from the parent's optimal basis after a single branching
@@ -157,8 +166,7 @@ TEST(RevisedSimplex, WarmStartAfterBoundChangeSavesIterations) {
   EXPECT_LE(warm.phase1_iterations, cold.phase1_iterations);
 }
 
-// A numerically singular basis must be reported as such by the engine, for
-// both factorization paths.
+// A numerically singular basis must be reported as such by the engine.
 TEST(RevisedSimplex, EnginesRejectSingularBasis) {
   // Two identical columns plus one slack: rank 2 < 3.
   std::vector<SparseColumn> columns(3);
@@ -168,11 +176,8 @@ TEST(RevisedSimplex, EnginesRejectSingularBasis) {
   columns[2].rows = {2};
   columns[2].coefs = {1.0};
   const std::vector<int> basis = {0, 1, 2};
-  for (const bool dense : {false, true}) {
-    const auto engine = make_basis_factorization(3, dense, 1e-9);
-    EXPECT_FALSE(engine->factorize(columns, basis))
-        << (dense ? "dense" : "sparse");
-  }
+  const auto engine = make_basis_factorization(3, 1e-9);
+  EXPECT_FALSE(engine->factorize(columns, basis));
 }
 
 // Regression for a factorization-reuse bug: the Schur-update scratch marks
@@ -199,7 +204,7 @@ TEST(RevisedSimplex, RefactorizeTwiceMatchesFreshEngine) {
   std::vector<int> basis(static_cast<std::size_t>(m));
   for (int k = 0; k < m; ++k) basis[static_cast<std::size_t>(k)] = k;
 
-  const auto engine = make_basis_factorization(m, /*dense=*/false, 1e-9);
+  const auto engine = make_basis_factorization(m, 1e-9);
   ASSERT_TRUE(engine->factorize(columns, basis));
 
   // Pivot a few replacement columns in via product-form updates.
@@ -220,7 +225,7 @@ TEST(RevisedSimplex, RefactorizeTwiceMatchesFreshEngine) {
   // Refactorize the SAME engine object, then compare its solves against a
   // brand-new engine factorizing the same basis.
   ASSERT_TRUE(engine->factorize(columns, basis));
-  const auto fresh = make_basis_factorization(m, /*dense=*/false, 1e-9);
+  const auto fresh = make_basis_factorization(m, 1e-9);
   ASSERT_TRUE(fresh->factorize(columns, basis));
 
   Rng probe_rng(23);
