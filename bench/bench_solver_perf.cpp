@@ -2,9 +2,9 @@
 //
 // Times the substrate the reproduction is built on: the bounded-variable
 // simplex on dense random LPs and transportation LPs, the sparse LU
-// refactorization of enterprise1's root basis, branch-and-bound on
-// knapsacks and assignment MILPs, the full planner on enterprise1-scale
-// instances, and the Lagrangian bound at Federal scale.
+// refactorization and the dual re-solves of enterprise1's root basis,
+// branch-and-bound on knapsacks and assignment MILPs, the full planner on
+// enterprise1-scale instances, and the Lagrangian bound at Federal scale.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -80,37 +80,121 @@ void BM_SimplexRandomLpTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexRandomLpTraced)->Arg(200)->Arg(800);
 
+/// enterprise1's presolved formulation (the planner's exact-engine LP) and
+/// its optimal root relaxation: the start of the LP-kernel benchmarks.
+struct Enterprise1Root {
+  Enterprise1Root()
+      : presolved(presolve_formulation()),
+        prep(presolved.reduced),
+        lower(presolved.reduced.num_variables()),
+        upper(presolved.reduced.num_variables()) {
+    for (int j = 0; j < presolved.reduced.num_variables(); ++j) {
+      lower[static_cast<std::size_t>(j)] = presolved.reduced.variable(j).lower;
+      upper[static_cast<std::size_t>(j)] = presolved.reduced.variable(j).upper;
+    }
+    SolveContext ctx;
+    root = lp::LpEngine().solve(prep, lower, upper, ctx);
+  }
+  [[nodiscard]] bool ok() const {
+    return root.status == lp::SolveStatus::kOptimal && root.basis != nullptr;
+  }
+
+  static lp::PresolveResult presolve_formulation() {
+    const auto instance = make_enterprise1();
+    const CostModel model(instance);
+    const Formulation formulation =
+        build_formulation(model, FormulationOptions{});
+    SolveContext ctx;
+    return lp::presolve(formulation.model, ctx);
+  }
+
+  lp::PresolveResult presolved;
+  lp::PreparedLp prep;
+  std::vector<double> lower, upper;
+  lp::LpSolution root;
+};
+
 // The LU kernel alone: refactorize enterprise1's optimal root basis (the
 // planner's presolved formulation) on one reused engine, the way a simplex
 // solve refactorizes between pivots.
 void BM_BasisFactorize(benchmark::State& state) {
-  const auto instance = make_enterprise1();
-  const CostModel model(instance);
-  const Formulation formulation = build_formulation(model, FormulationOptions{});
-  SolveContext presolve_ctx;
-  const lp::PresolveResult presolved = lp::presolve(formulation.model, presolve_ctx);
-  const lp::PreparedLp prep(presolved.reduced);
-  SolveContext root_ctx;
-  const lp::LpSolution root = lp::LpEngine().solve(presolved.reduced, root_ctx);
-  if (root.status != lp::SolveStatus::kOptimal || root.basis == nullptr) {
+  const Enterprise1Root e1;
+  if (!e1.ok()) {
     state.SkipWithError("enterprise1 root LP did not solve");
     return;
   }
-  const std::vector<int>& basis = root.basis->basic_columns;
-  const auto engine = lp::make_basis_factorization(prep.num_rows(), 1e-9);
+  const std::vector<int>& basis = e1.root.basis->basic_columns;
+  const auto engine = lp::make_basis_factorization(e1.prep.num_rows(), 1e-9);
   for (auto _ : state) {
-    const bool ok = engine->factorize(prep.columns, basis);
+    const bool ok = engine->factorize(e1.prep.columns, basis);
     benchmark::DoNotOptimize(ok);
     if (!ok) {
       state.SkipWithError("enterprise1 root basis reported singular");
       break;
     }
   }
-  state.counters["m"] = prep.num_rows();
+  state.counters["m"] = e1.prep.num_rows();
   state.counters["factor_entries"] =
       static_cast<double>(engine->counters().factor_entries);
 }
 BENCHMARK(BM_BasisFactorize)->Unit(benchmark::kMicrosecond);
+
+// The dual simplex alone: branch-and-bound child re-solves of enterprise1's
+// root. Each of the first 16 fractional integer columns is branched both
+// ways, and every child reoptimizes from the root basis as a kBoundChange
+// restart, so the time is almost all dual pivots (PRICE, the bound-flipping
+// ratio test, FTRAN/BTRAN). One iteration solves all 32 children.
+void BM_DualReoptimize(benchmark::State& state) {
+  const Enterprise1Root e1;
+  if (!e1.ok()) {
+    state.SkipWithError("enterprise1 root LP did not solve");
+    return;
+  }
+  struct Child {
+    int var;
+    double lower, upper;
+  };
+  std::vector<Child> children;
+  for (int j = 0; j < e1.presolved.reduced.num_variables() &&
+                  children.size() < 32;
+       ++j) {
+    const double x = e1.root.values[static_cast<std::size_t>(j)];
+    if (!e1.presolved.reduced.variable(j).is_integer ||
+        std::abs(x - std::round(x)) < 1e-6) {
+      continue;
+    }
+    const auto ju = static_cast<std::size_t>(j);
+    children.push_back({j, e1.lower[ju], std::floor(x)});
+    children.push_back({j, std::ceil(x), e1.upper[ju]});
+  }
+  const lp::LpEngine engine;
+  const lp::LpStartBasis start(e1.root.basis.get(),
+                               lp::LpStartBasis::Origin::kBoundChange);
+  std::vector<double> lower = e1.lower;
+  std::vector<double> upper = e1.upper;
+  long long dual_pivots = 0;
+  long long bound_flips = 0;
+  for (auto _ : state) {
+    for (const Child& child : children) {
+      const auto ju = static_cast<std::size_t>(child.var);
+      lower[ju] = child.lower;
+      upper[ju] = child.upper;
+      SolveContext ctx;
+      const lp::LpSolution sol = engine.solve(e1.prep, lower, upper, ctx, start);
+      benchmark::DoNotOptimize(sol);
+      dual_pivots += sol.dual_pivots;
+      bound_flips += sol.bound_flips;
+      lower[ju] = e1.lower[ju];
+      upper[ju] = e1.upper[ju];
+    }
+  }
+  state.counters["children"] = static_cast<double>(children.size());
+  state.counters["dual_pivots"] = benchmark::Counter(
+      static_cast<double>(dual_pivots), benchmark::Counter::kAvgIterations);
+  state.counters["bound_flips"] = benchmark::Counter(
+      static_cast<double>(bound_flips), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DualReoptimize)->Unit(benchmark::kMillisecond);
 
 void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   Rng rng(11);

@@ -128,6 +128,27 @@ PreparedLp::PreparedLp(const Model& m) : model(&m) {
     columns.push_back(std::move(s));
     cost.push_back(0.0);
   }
+  // Row-major copy: count, prefix-sum, then fill in column order so every
+  // row lists its columns ascending.
+  row_start.assign(static_cast<std::size_t>(num_rows()) + 1, 0);
+  for (const SparseColumn& col : columns) {
+    for (const int r : col.rows) ++row_start[static_cast<std::size_t>(r) + 1];
+  }
+  for (std::size_t r = 1; r < row_start.size(); ++r) {
+    row_start[r] += row_start[r - 1];
+  }
+  row_cols.resize(static_cast<std::size_t>(row_start.back()));
+  row_coefs.resize(row_cols.size());
+  std::vector<int> fill(row_start.begin(), row_start.end() - 1);
+  for (int j = 0; j < num_columns(); ++j) {
+    const SparseColumn& col = columns[static_cast<std::size_t>(j)];
+    for (std::size_t e = 0; e < col.rows.size(); ++e) {
+      const auto pos = static_cast<std::size_t>(
+          fill[static_cast<std::size_t>(col.rows[e])]++);
+      row_cols[pos] = j;
+      row_coefs[pos] = col.coefs[e];
+    }
+  }
 }
 
 namespace detail {

@@ -147,6 +147,12 @@ struct PreparedLp {
   int num_vars = 0;         // model variables == leading internal columns
   double sense_sign = 1.0;  // +1 minimize, -1 maximize
   std::vector<SparseColumn> columns;  // num_vars structural + one slack/row
+  /// Row-major copy of `columns` (slack columns included): the entries of
+  /// row i are row_cols/row_coefs[row_start[i] .. row_start[i + 1]), in
+  /// ascending column order. The dual simplex forms its pivot row from it.
+  std::vector<int> row_start;
+  std::vector<int> row_cols;
+  std::vector<double> row_coefs;
   std::vector<double> cost;           // internal minimization cost per column
   std::vector<double> rhs;            // one per kept row
   std::vector<double> slack_lower;    // slack bounds per kept row

@@ -33,8 +33,9 @@ using lp::SolveStatus;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Incumbent/bound trace entries kept per solve. Bounds memory on
-/// pathological trees where the dual bound moves at almost every node.
+/// Incumbent/bound trace points kept per solve. Bounds memory on
+/// pathological trees where the dual bound moves at almost every node; a
+/// longer run is thinned (append_trace_point), not cut off.
 constexpr std::size_t kMaxTracePoints = 4096;
 
 /// Pseudocost estimates are floored at this so a zero-degradation direction
@@ -374,17 +375,15 @@ MilpSolution BranchAndBoundSolver::solve_impl(
     }
   };
 
+  TraceThinning trace_thinning;
   const auto record_trace = [&](double bound_internal) {
-    // Before the cap: the stats trace is bounded history, the progress ring
-    // wraps — a long solve must keep streaming samples past the cap.
     publish_progress(bound_internal);
-    if (stats.trace.size() >= kMaxTracePoints) return;
     TracePoint point;
     point.time_ms = ctx.elapsed_ms();
     point.node = result.nodes;
     point.incumbent = have_incumbent ? sense_sign * incumbent : kNaN;
     point.bound = sense_sign * bound_internal;
-    stats.trace.push_back(point);
+    append_trace_point(stats.trace, trace_thinning, point, kMaxTracePoints);
   };
 
   const auto try_incumbent = [&](const std::vector<double>& values,

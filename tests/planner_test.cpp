@@ -16,11 +16,19 @@
 namespace etransform {
 namespace {
 
+/// Node budgets, not the production 60 s clock: a verdict must not depend
+/// on machine speed. The small non-DR instances prove well inside theirs.
+/// The joint-DR estates of 8-10 groups rarely prove within thousands of
+/// nodes, and every DR oracle below holds for any incumbent the planner
+/// returns, so they stop sooner.
+constexpr int kNodeBudget = 5000;
+constexpr int kDrNodeBudget = 2000;
+
 PlannerReport run_planner(const ConsolidationInstance& instance,
-                          PlannerOptions options = {}) {
-  // Keep the suite fast: tiny instances don't need the production budget.
-  options.milp.search.time_limit_ms = std::min(options.milp.search.time_limit_ms, 5000);
-  options.milp.search.max_nodes = std::min(options.milp.search.max_nodes, 5000);
+                          PlannerOptions options = {},
+                          int max_nodes = kNodeBudget) {
+  options.milp.search.time_limit_ms = 0;
+  options.milp.search.max_nodes = std::min(options.milp.search.max_nodes, max_nodes);
   const CostModel model(instance);
   const EtransformPlanner planner(options);
   SolveContext ctx;
@@ -103,7 +111,7 @@ TEST(Planner, DrPlansAreFeasibleAndShareBackups) {
     const auto instance = make_random_instance(rng, 8, 4, 2);
     PlannerOptions options;
     options.enable_dr = true;
-    const PlannerReport report = run_planner(instance, options);
+    const PlannerReport report = run_planner(instance, options, kDrNodeBudget);
     EXPECT_TRUE(check_plan(instance, report.plan).empty()) << "seed " << seed;
     EXPECT_TRUE(report.plan.has_dr());
     // Backup counts match the sharing law exactly (decode recomputes them).
@@ -120,7 +128,7 @@ TEST(Planner, DrNeverWorseThanGreedyDr) {
     const CostModel model(instance);
     PlannerOptions options;
     options.enable_dr = true;
-    const PlannerReport report = run_planner(instance, options);
+    const PlannerReport report = run_planner(instance, options, kDrNodeBudget);
     const Plan greedy = plan_greedy(model, true);
     EXPECT_LE(report.plan.cost.total(), greedy.cost.total() + 1e-6)
         << "seed " << seed;
@@ -159,8 +167,10 @@ TEST(Planner, DedicatedDrProvisionsFullMirrors) {
     shared.enable_dr = true;
     PlannerOptions dedicated = shared;
     dedicated.dr_sizing = PlannerOptions::DrSizing::kDedicated;
-    const PlannerReport shared_report = run_planner(instance, shared);
-    const PlannerReport dedicated_report = run_planner(instance, dedicated);
+    const PlannerReport shared_report =
+        run_planner(instance, shared, kDrNodeBudget);
+    const PlannerReport dedicated_report =
+        run_planner(instance, dedicated, kDrNodeBudget);
     EXPECT_TRUE(check_plan(instance, dedicated_report.plan).empty())
         << "seed " << seed;
     EXPECT_EQ(dedicated_report.plan.total_backup_servers(),
@@ -187,12 +197,14 @@ TEST(Planner, TwoStageDrCloseToJointOnSmallInstances) {
     PlannerOptions joint;
     joint.enable_dr = true;
     joint.joint_dr_var_limit = 1 << 20;
-    const PlannerReport joint_report = run_planner(instance, joint);
+    const PlannerReport joint_report =
+        run_planner(instance, joint, kDrNodeBudget);
 
     PlannerOptions two_stage;
     two_stage.enable_dr = true;
     two_stage.joint_dr_var_limit = 0;  // force the two-stage path
-    const PlannerReport staged_report = run_planner(instance, two_stage);
+    const PlannerReport staged_report =
+        run_planner(instance, two_stage, kDrNodeBudget);
 
     EXPECT_TRUE(check_plan(instance, staged_report.plan).empty());
     EXPECT_LE(staged_report.plan.cost.total(),
@@ -373,7 +385,7 @@ TEST_P(PlannerDrPropertyTest, DrPlansFeasibleAndBackupsShared) {
   const auto instance = make_random_instance(rng, 8, 4, 2);
   PlannerOptions options;
   options.enable_dr = true;
-  const PlannerReport report = run_planner(instance, options);
+  const PlannerReport report = run_planner(instance, options, kDrNodeBudget);
   EXPECT_TRUE(check_plan(instance, report.plan).empty());
   // Shared sizing can never exceed dedicated sizing.
   long long dedicated = 0;
